@@ -5,8 +5,9 @@
 # dual-filer failover slice (ctest -L failover), the causal-tracing
 # slice (ctest -L trace), the striped-layout slice (ctest -L stripe), the
 # quorum-replication slice (ctest -L raft), the data-integrity slice
-# (ctest -L integrity), the live-telemetry slice (ctest -L telemetry) and
-# the client-cache/delegation slice (ctest -L cache),
+# (ctest -L integrity), the live-telemetry slice (ctest -L telemetry), the
+# client-cache/delegation slice (ctest -L cache) and the file-store slice
+# with its journal replay and torn-tail tests (ctest -L fstore),
 # which stress the recovery paths where lifetime bugs would hide. A final
 # leg runs traced end-to-end
 # benchmarks and validates the emitted Perfetto JSON (ids resolve, spans
@@ -17,7 +18,9 @@
 # A metrics-validation leg then replays the breakdown and telemetry benches
 # with stdout captured and checks their unified metrics JSON (schema,
 # dotted-lowercase keys, percentile ordering, monotone time series) with
-# scripts/check_metrics.py.
+# scripts/check_metrics.py. A last leg checks the repo benchmark: the
+# perfbench driver's self-test and one short traced mdtest_small run, which
+# must exit 0.
 #
 # Every ctest invocation runs under a per-test timeout so a hung recovery
 # path (the exact bug class the chaos suite hunts) fails the gate instead of
@@ -40,15 +43,15 @@ cmake --build "$BUILD" -j "$JOBS"
 ctest --test-dir "$BUILD" --output-on-failure -j "$JOBS" \
   --timeout "$TEST_TIMEOUT"
 
-echo "== tier1: sanitizer leg (ASan+UBSan, fault + chaos + failover + trace + stripe + raft + integrity + telemetry + cache labels) =="
+echo "== tier1: sanitizer leg (ASan+UBSan, fault + chaos + failover + trace + stripe + raft + integrity + telemetry + cache + fstore labels) =="
 cmake -B "$ASAN_BUILD" -S . -DDAFS_SANITIZE=ON >/dev/null
 cmake --build "$ASAN_BUILD" -j "$JOBS" --target test_fault \
   --target test_chaos --target test_failover --target test_trace \
   --target test_stripe --target test_quorum --target test_integrity \
-  --target test_telemetry --target test_cache
+  --target test_telemetry --target test_cache --target test_fstore
 ctest --test-dir "$ASAN_BUILD" --output-on-failure -j "$JOBS" \
   --timeout "$TEST_TIMEOUT" \
-  -L 'fault|chaos|failover|trace|stripe|raft|integrity|telemetry|cache'
+  -L 'fault|chaos|failover|trace|stripe|raft|integrity|telemetry|cache|fstore'
 
 echo "== tier1: trace-validation leg (traced benches -> check_trace.py) =="
 TRACE_OUT="$BUILD/tier1_trace.json"
@@ -101,5 +104,10 @@ python3 scripts/check_metrics.py --require-timeseries "$TELEMETRY_OUT"
 CACHE_OUT="$BUILD/tier1_metrics_e21.txt"
 "$BUILD/bench/bench_e21_cache" >"$CACHE_OUT"
 python3 scripts/check_metrics.py "$CACHE_OUT"
+
+echo "== tier1: benchmark leg (perfbench self-test + short traced run) =="
+python3 perfbench/run.py --self-test
+python3 perfbench/run.py --workload mdtest_small --seconds 4 --trace 1 \
+  >"$BUILD/tier1_perfbench.txt"
 
 echo "== tier1: all green =="

@@ -1153,13 +1153,18 @@ std::uint64_t Server::term_at_locked(std::uint64_t off) const {
 
 void Server::rebuild_term_runs_locked() {
   term_runs_.clear();
-  store_->journal_log().scan([this](std::uint64_t off, fstore::RecType type,
-                                    std::span<const std::byte> payload) {
-    if (type != fstore::RecType::kTermMark) return;
-    fstore::RecReader r(payload);
-    const std::uint64_t term = r.u64();
-    if (r.ok()) term_runs_.push_back(TermRun{off, term});
-  });
+  add_term_runs_locked(0);
+}
+
+void Server::add_term_runs_locked(std::uint64_t from) {
+  store_->journal_log().scan(
+      from, [this](std::uint64_t off, fstore::RecType type,
+                   std::span<const std::byte> payload) {
+        if (type != fstore::RecType::kTermMark) return;
+        fstore::RecReader r(payload);
+        const std::uint64_t term = r.u64();
+        if (r.ok()) term_runs_.push_back(TermRun{off, term});
+      });
 }
 
 void Server::reset_election_deadline_locked() {
@@ -1592,15 +1597,22 @@ void Server::quorum_conn_loop(std::unique_ptr<via::Vi> vi,
             const std::uint64_t dropped =
                 store_->journal_log().truncate(h.offset);
             fabric_.stats().add("dafs.resilver_truncated_bytes", dropped);
+            std::erase_if(term_runs_, [&h](const TermRun& run) {
+              return run.start_off >= h.offset;
+            });
             progressed = true;
           }
           if (h.len > 0) {
+            // Only the newly accepted range can carry new term marks, so
+            // scan just that; a full rebuild under raft_mu_ would cost the
+            // whole journal per append.
+            const std::uint64_t from = store_->journal_size();
             const auto res = store_->journal_log().import(std::span(
                 b->mem.data() + sizeof(ReplHeader), std::size_t{h.len}));
+            if (res.accepted > 0) add_term_runs_locked(from);
             moved = res.accepted;
             progressed = progressed || res.accepted > 0;
           }
-          if (progressed) rebuild_term_runs_locked();
           const std::uint64_t new_size = store_->journal_size();
           const std::uint64_t new_commit = std::min(h.commit, new_size);
           if (new_commit > commit_off_.load(std::memory_order_relaxed)) {

@@ -305,6 +305,9 @@ class Server {
   std::uint64_t term_at_locked(std::uint64_t off) const;
   /// Rebuild the term-run table by scanning the journal (raft_mu_ held).
   void rebuild_term_runs_locked();
+  /// Append the runs opened by kTermMark records at or past record boundary
+  /// `from` (raft_mu_ held).
+  void add_term_runs_locked(std::uint64_t from);
   /// Reset the randomized election deadline (raft_mu_ held).
   void reset_election_deadline_locked();
   /// 1 + leader member index for the kNotLeader aux hint (0 = unknown).

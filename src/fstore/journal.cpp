@@ -3,42 +3,107 @@
 #include <algorithm>
 #include <array>
 
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#define FSTORE_CRC32C_SSE42 1
+#include <nmmintrin.h>
+#endif
+
 namespace fstore {
 
 namespace {
 
-std::array<std::uint32_t, 256> make_crc_table(std::uint32_t poly) {
-  std::array<std::uint32_t, 256> t{};
+// Slicing-by-8 tables for the reflected Castagnoli polynomial: kCrcTables[0]
+// is the classic byte table, kCrcTables[k][i] the CRC of byte i followed by
+// k zero bytes, so eight table lookups fold eight input bytes at once.
+constexpr auto kCrcTables = [] {
+  std::array<std::array<std::uint32_t, 256>, 8> t{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
-    for (int k = 0; k < 8; ++k) {
-      c = (c & 1u) ? poly ^ (c >> 1) : c >> 1;
+    for (int k = 0; k < 8; ++k) c = (c & 1u) ? 0x82F63B78u ^ (c >> 1) : c >> 1;
+    t[0][i] = c;
+  }
+  for (std::size_t k = 1; k < 8; ++k) {
+    for (std::size_t i = 0; i < 256; ++i) {
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
     }
-    t[i] = c;
   }
   return t;
+}();
+
+// Raw (un-inverted) CRC register update; the public entry points apply the
+// pre/post inversion.
+std::uint32_t crc32c_sw(const unsigned char* p, std::size_t n,
+                        std::uint32_t c) {
+  const auto& t = kCrcTables;
+  for (; n >= 8; p += 8, n -= 8) {
+    // Assembled little-endian whatever the host order; compilers fold this
+    // into one load on little-endian targets.
+    const std::uint32_t lo =
+        c ^ (std::uint32_t{p[0]} | std::uint32_t{p[1]} << 8 |
+             std::uint32_t{p[2]} << 16 | std::uint32_t{p[3]} << 24);
+    const std::uint32_t hi =
+        std::uint32_t{p[4]} | std::uint32_t{p[5]} << 8 |
+        std::uint32_t{p[6]} << 16 | std::uint32_t{p[7]} << 24;
+    c = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+        t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+        t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
+  for (; n > 0; ++p, --n) c = t[0][(c ^ *p) & 0xFFu] ^ (c >> 8);
+  return c;
+}
+
+#ifdef FSTORE_CRC32C_SSE42
+// SSE4.2's crc32 instruction implements exactly this polynomial and bit
+// order, eight bytes per instruction.
+__attribute__((target("sse4.2"))) std::uint32_t crc32c_sse42(
+    const unsigned char* p, std::size_t n, std::uint32_t c) {
+  std::uint64_t c64 = c;
+  for (; n >= 8; p += 8, n -= 8) {
+    std::uint64_t v;
+    std::memcpy(&v, p, sizeof(v));
+    c64 = _mm_crc32_u64(c64, v);
+  }
+  c = static_cast<std::uint32_t>(c64);
+  for (; n > 0; ++p, --n) c = _mm_crc32_u8(c, *p);
+  return c;
+}
+#endif
+
+using CrcUpdate = std::uint32_t (*)(const unsigned char*, std::size_t,
+                                    std::uint32_t);
+
+CrcUpdate pick_crc32c() {
+#ifdef FSTORE_CRC32C_SSE42
+  __builtin_cpu_init();
+  if (__builtin_cpu_supports("sse4.2")) return crc32c_sse42;
+#endif
+  return crc32c_sw;
+}
+
+const unsigned char* bytes_of(std::span<const std::byte> data) {
+  return reinterpret_cast<const unsigned char*>(data.data());
 }
 
 }  // namespace
 
-std::uint32_t crc32(std::span<const std::byte> data) {
-  static const std::array<std::uint32_t, 256> table =
-      make_crc_table(0xEDB88320u);
-  std::uint32_t c = 0xFFFFFFFFu;
-  for (std::byte b : data) {
-    c = table[(c ^ static_cast<std::uint8_t>(b)) & 0xFFu] ^ (c >> 8);
-  }
-  return c ^ 0xFFFFFFFFu;
+namespace detail {
+
+std::uint32_t crc32c_portable(std::span<const std::byte> data,
+                              std::uint32_t seed) {
+  return crc32c_sw(bytes_of(data), data.size(), seed ^ 0xFFFFFFFFu) ^
+         0xFFFFFFFFu;
 }
 
+}  // namespace detail
+
 std::uint32_t crc32c(std::span<const std::byte> data, std::uint32_t seed) {
-  static const std::array<std::uint32_t, 256> table =
-      make_crc_table(0x82F63B78u);
-  std::uint32_t c = seed ^ 0xFFFFFFFFu;
-  for (std::byte b : data) {
-    c = table[(c ^ static_cast<std::uint8_t>(b)) & 0xFFu] ^ (c >> 8);
-  }
-  return c ^ 0xFFFFFFFFu;
+  static const CrcUpdate update = pick_crc32c();
+  return update(bytes_of(data), data.size(), seed ^ 0xFFFFFFFFu) ^
+         0xFFFFFFFFu;
+}
+
+std::uint32_t FStoreJournal::frame_crc(std::span<const std::byte> payload) {
+  return crc32c(payload, kRecMagic);
 }
 
 std::uint64_t FStoreJournal::valid_prefix(std::span<const std::byte> log,
@@ -51,7 +116,7 @@ std::uint64_t FStoreJournal::valid_prefix(std::span<const std::byte> log,
     if (h.magic != kRecMagic) break;
     if (log.size() - pos - sizeof(RecHeader) < h.len) break;  // torn tail
     const auto payload = log.subspan(pos + sizeof(RecHeader), h.len);
-    if (crc32(payload) != h.crc) break;  // bit rot / partial overwrite
+    if (frame_crc(payload) != h.crc) break;  // bit rot / partial overwrite
     pos += sizeof(RecHeader) + h.len;
     ++count;
   }
@@ -68,7 +133,7 @@ bool FStoreJournal::has_valid_record(std::span<const std::byte> tail) {
     std::memcpy(&h, tail.data() + pos, sizeof(h));
     if (h.magic != kRecMagic) continue;
     if (tail.size() - pos - sizeof(RecHeader) < h.len) continue;
-    if (crc32(tail.subspan(pos + sizeof(RecHeader), h.len)) == h.crc) {
+    if (frame_crc(tail.subspan(pos + sizeof(RecHeader), h.len)) == h.crc) {
       return true;
     }
   }
@@ -80,7 +145,7 @@ std::uint64_t FStoreJournal::append(RecType type,
   RecHeader h;
   h.magic = kRecMagic;
   h.len = static_cast<std::uint32_t>(payload.size());
-  h.crc = crc32(payload);
+  h.crc = frame_crc(payload);
   h.type = static_cast<std::uint8_t>(type);
   std::lock_guard lock(mu_);
   const auto* hb = reinterpret_cast<const std::byte*>(&h);
@@ -163,19 +228,27 @@ FStoreJournal::ReplayResult FStoreJournal::replay(
 }
 
 void FStoreJournal::scan(
+    std::uint64_t from,
     const std::function<void(std::uint64_t, RecType,
                              std::span<const std::byte>)>& fn) const {
   std::lock_guard lock(mu_);
-  const std::uint64_t good = valid_prefix(log_, nullptr);
+  if (from >= log_.size()) return;
+  const auto tail = std::span<const std::byte>(log_).subspan(from);
+  const std::uint64_t good = valid_prefix(tail, nullptr);
+  scanned_bytes_ += good;
   std::size_t pos = 0;
   while (pos < good) {
     RecHeader h;
-    std::memcpy(&h, log_.data() + pos, sizeof(h));
-    fn(pos, static_cast<RecType>(h.type),
-       std::span<const std::byte>(log_).subspan(pos + sizeof(RecHeader),
-                                                h.len));
+    std::memcpy(&h, tail.data() + pos, sizeof(h));
+    fn(from + pos, static_cast<RecType>(h.type),
+       tail.subspan(pos + sizeof(RecHeader), h.len));
     pos += sizeof(RecHeader) + h.len;
   }
+}
+
+std::uint64_t FStoreJournal::scanned_bytes() const {
+  std::lock_guard lock(mu_);
+  return scanned_bytes_;
 }
 
 std::uint64_t FStoreJournal::truncate(std::uint64_t size) {
@@ -201,6 +274,11 @@ void FStoreJournal::corrupt_byte_at(std::uint64_t off) {
 void FStoreJournal::chop_tail(std::uint64_t n) {
   std::lock_guard lock(mu_);
   log_.resize(log_.size() - std::min<std::uint64_t>(n, log_.size()));
+}
+
+void FStoreJournal::append_raw(std::span<const std::byte> bytes) {
+  std::lock_guard lock(mu_);
+  log_.insert(log_.end(), bytes.begin(), bytes.end());
 }
 
 void FStoreJournal::reset() {

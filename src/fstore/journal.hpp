@@ -12,17 +12,21 @@
 
 namespace fstore {
 
-/// CRC-32 (IEEE 802.3 polynomial, reflected) over a byte span. Table-driven;
-/// the table is built once on first use.
-std::uint32_t crc32(std::span<const std::byte> data);
-
-/// CRC-32C (Castagnoli polynomial, reflected) — the block/wire checksum of
-/// the integrity layer (at-rest chunk checksums, DAFS payload checksums).
-/// Kept distinct from the journal's CRC-32 so a framed journal record can
-/// never masquerade as a verified data block. `seed` chains incremental
-/// computations: pass the previous call's return value to extend a running
-/// checksum over a scatter/gather byte stream.
+/// CRC-32C (Castagnoli polynomial, reflected) — the one checksum of the
+/// store and the wire: at-rest chunk checksums, DAFS payload checksums and
+/// (seeded with kRecMagic) journal record frames. Runs on the SSE4.2 crc32
+/// instruction when the CPU has it (checked once, at first call) and on a
+/// portable slicing-by-8 loop otherwise; both give identical values. `seed`
+/// chains incremental computations: pass the previous call's return value
+/// to extend a running checksum over a scatter/gather byte stream.
 std::uint32_t crc32c(std::span<const std::byte> data, std::uint32_t seed = 0);
+
+namespace detail {
+/// The portable slicing-by-8 path of crc32c(), exposed so tests can hold
+/// the hardware path to it. Production code calls crc32c().
+std::uint32_t crc32c_portable(std::span<const std::byte> data,
+                              std::uint32_t seed = 0);
+}  // namespace detail
 
 /// Record types in the store's write-ahead log. The log *is* the durable
 /// image: local crash-restart replays it from offset 0, and the replication
@@ -48,16 +52,22 @@ enum class RecType : std::uint8_t {
 /// Frame prefixed to every record. `crc` covers the payload only, so a torn
 /// or bit-flipped tail is detected record-by-record and replay truncates the
 /// log back to the last fully-valid frame instead of applying garbage.
+/// The frame checksum is crc32c seeded with kRecMagic (FStoreJournal::
+/// frame_crc), never the plain block checksum of the same bytes, so a framed
+/// journal record cannot masquerade as a verified data block.
 struct RecHeader {
   std::uint32_t magic = 0;
   std::uint32_t len = 0;  // payload bytes following this header
-  std::uint32_t crc = 0;  // CRC-32 of the payload
+  std::uint32_t crc = 0;  // FStoreJournal::frame_crc of the payload
   std::uint8_t type = 0;
   std::uint8_t pad[3] = {};
 };
 static_assert(sizeof(RecHeader) == 16);
 
-inline constexpr std::uint32_t kRecMagic = 0x4653'4A31;  // "FSJ1"
+/// "FSJ2": frames checksummed with kRecMagic-seeded CRC-32C. Logs framed by
+/// the earlier IEEE CRC-32 ("FSJ1") do not parse: import refuses them and
+/// replay treats them as a torn tail.
+inline constexpr std::uint32_t kRecMagic = 0x4653'4A32;  // "FSJ2"
 
 /// Upper bound on the data bytes one kSyncCommit record carries. The
 /// replication layers (pair shipping and quorum catch-up) move raw record
@@ -186,7 +196,17 @@ class FStoreJournal {
   /// log (a torn tail is skipped, not truncated). Used to rebuild term-run
   /// tables from kTermMark records. Same locking contract as replay().
   void scan(const std::function<void(std::uint64_t, RecType,
+                                     std::span<const std::byte>)>& fn) const {
+    scan(0, fn);
+  }
+  /// As scan(fn), starting at record boundary `from` — a follower that just
+  /// imported a byte range reads only that range's records.
+  void scan(std::uint64_t from,
+            const std::function<void(std::uint64_t, RecType,
                                      std::span<const std::byte>)>& fn) const;
+  /// Total bytes walked (and CRC-checked) by scan() over this journal's
+  /// lifetime.
+  std::uint64_t scanned_bytes() const;
 
   /// Discard every byte at or past `size` — the divergent-suffix half of
   /// quorum re-silvering (a rejoining follower cuts back to the leader's
@@ -204,8 +224,15 @@ class FStoreJournal {
   /// Test hook: chop `n` bytes off the end of the log, simulating a write
   /// torn mid-record by a power cut.
   void chop_tail(std::uint64_t n);
+  /// Test hook: append `bytes` verbatim, unvalidated, simulating a log
+  /// written under another framing (e.g. an older record magic).
+  void append_raw(std::span<const std::byte> bytes);
 
   void reset();
+
+  /// The checksum stored in a record's RecHeader::crc: crc32c seeded with
+  /// kRecMagic, so it differs from the block checksum of the same bytes.
+  static std::uint32_t frame_crc(std::span<const std::byte> payload);
 
  private:
   /// Byte length of the valid record prefix of `log` (frames parse, CRCs
@@ -219,6 +246,7 @@ class FStoreJournal {
 
   mutable std::mutex mu_;
   std::vector<std::byte> log_;
+  mutable std::uint64_t scanned_bytes_ = 0;  // under mu_
 };
 
 }  // namespace fstore

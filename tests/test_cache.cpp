@@ -457,11 +457,15 @@ struct FilerGroup {
     return -1;
   }
 
-  /// Wait for a live leader other than `not_this`.
-  int wait_other_leader(int not_this, int budget_ms = 15'000) const {
+  /// Wait for a live leader elected in a term after `term`. A killed leader
+  /// that restarts may legally win that election itself; its volatile state
+  /// (the delegation table included) died with the crash either way.
+  int wait_leader_after(std::uint64_t term, int budget_ms = 15'000) const {
     for (int i = 0; i < budget_ms; ++i) {
       const int l = leader();
-      if (l >= 0 && l != not_this) return l;
+      if (l >= 0 && members[static_cast<std::size_t>(l)]->epoch() > term) {
+        return l;
+      }
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
     return -1;
@@ -554,8 +558,10 @@ TEST(CacheQuorum, RecallSurvivesLeaderKillNoStaleBytes) {
 
     // Kill the leader mid-recall; its delegation table is volatile and dies
     // with it. The holder's lease expires during the outage.
+    const std::uint64_t term0 =
+        g.members[static_cast<std::size_t>(l0)]->epoch();
     g.members[static_cast<std::size_t>(l0)]->inject_crash(40);
-    const int l1 = g.wait_other_leader(l0);
+    const int l1 = g.wait_leader_after(term0);
     ASSERT_GE(l1, 0) << "no new leader";
     actor_a.advance(kTermNs * 4);
 

@@ -639,6 +639,61 @@ TEST(FStoreJournal, ImportRejectsCorruptStreamTail) {
   EXPECT_EQ(copy.size(), intact);
 }
 
+TEST(FStoreJournal, OldMagicFrameIsRefusedAndTornOnReplay) {
+  // A frame stamped with the retired "FSJ1" magic — here even carrying a
+  // checksum that is valid under the current framing, so the magic alone
+  // decides — is not a record: import refuses it and replay drops it as a
+  // torn tail.
+  const auto payload = pattern(64, 90);
+  fstore::RecHeader old;
+  old.magic = 0x4653'4A31;  // "FSJ1"
+  old.len = static_cast<std::uint32_t>(payload.size());
+  old.crc = fstore::FStoreJournal::frame_crc(payload);
+  old.type = static_cast<std::uint8_t>(fstore::RecType::kCounterSet);
+  std::vector<std::byte> frame(sizeof(old));
+  std::memcpy(frame.data(), &old, sizeof(old));
+  frame.insert(frame.end(), payload.begin(), payload.end());
+
+  fstore::FStoreJournal j;
+  const std::uint64_t good =
+      j.append(fstore::RecType::kCounterSet, payload);
+  const auto res = j.import(frame);
+  EXPECT_EQ(res.accepted, 0u);
+  EXPECT_TRUE(res.truncated);
+  EXPECT_EQ(j.size(), good);
+
+  j.append_raw(frame);
+  ASSERT_EQ(j.size(), good + frame.size());
+  std::size_t applied = 0;
+  const auto rep = j.replay(
+      [&](fstore::RecType, std::span<const std::byte>) { ++applied; });
+  EXPECT_EQ(applied, 1u);
+  EXPECT_FALSE(rep.interior_corrupt);
+  EXPECT_EQ(rep.torn_bytes, frame.size());
+  EXPECT_EQ(j.size(), good);
+}
+
+TEST(FStoreJournal, ScanFromOffsetWalksOnlyTheSuffix) {
+  fstore::FStoreJournal j;
+  const auto payload = pattern(100, 91);
+  const std::uint64_t first = j.append(fstore::RecType::kCounterSet, payload);
+  const std::uint64_t second = j.append(fstore::RecType::kTermMark, payload);
+  std::vector<std::uint64_t> offs;
+  const auto collect = [&](std::uint64_t off, fstore::RecType,
+                           std::span<const std::byte>) { offs.push_back(off); };
+  j.scan(collect);
+  EXPECT_EQ(offs, (std::vector<std::uint64_t>{0, first}));
+  EXPECT_EQ(j.scanned_bytes(), second);
+  offs.clear();
+  j.scan(first, collect);
+  EXPECT_EQ(offs, (std::vector<std::uint64_t>{first}));
+  EXPECT_EQ(j.scanned_bytes(), second + (second - first));
+  offs.clear();
+  j.scan(second, collect);
+  EXPECT_TRUE(offs.empty());
+  EXPECT_EQ(j.scanned_bytes(), second + (second - first));
+}
+
 TEST(FStoreJournal, DivergentSuffixTruncation) {
   // The quorum re-silver path: a deposed leader rejoins with journal bytes
   // the new leader never committed, truncates them off, and replays. The

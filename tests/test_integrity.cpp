@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <memory>
@@ -79,13 +80,64 @@ TEST(IntegrityCodec, Crc32cSeedChainsToWholeBufferChecksum) {
   for (std::byte b : data) acc = fstore::crc32c({&b, 1}, acc);
   EXPECT_EQ(acc, whole);
 
-  // Castagnoli and the journal's IEEE CRC-32 are distinct codecs: a framed
-  // journal record can never masquerade as a verified data block.
-  EXPECT_NE(fstore::crc32c(data), fstore::crc32(data));
+  // Domain separation: a journal frame's checksum is seeded with the record
+  // magic, so a framed journal record can never masquerade as a verified
+  // data block of the same bytes.
+  EXPECT_NE(fstore::FStoreJournal::frame_crc(data), fstore::crc32c(data));
   // Damage changes the value (the whole point).
   auto bent = data;
   bent[1234] ^= std::byte{0x01};
   EXPECT_NE(fstore::crc32c(bent), whole);
+}
+
+TEST(IntegrityCodec, Crc32cMatchesRfc3720KnownAnswers) {
+  // iSCSI CRC test vectors (RFC 3720 §B.4) plus the customary check value.
+  std::vector<std::byte> buf(32);
+  const auto both = [&buf](std::uint32_t want) {
+    EXPECT_EQ(fstore::crc32c(buf), want);
+    EXPECT_EQ(fstore::detail::crc32c_portable(buf), want);
+  };
+  std::fill(buf.begin(), buf.end(), std::byte{0x00});
+  both(0x8A9136AAu);
+  std::fill(buf.begin(), buf.end(), std::byte{0xFF});
+  both(0x62A8AB43u);
+  for (std::size_t i = 0; i < 32; ++i) buf[i] = static_cast<std::byte>(i);
+  both(0x46DD794Eu);
+  for (std::size_t i = 0; i < 32; ++i) buf[i] = static_cast<std::byte>(31 - i);
+  both(0x113FDB5Cu);
+  const std::string check = "123456789";
+  buf.assign(reinterpret_cast<const std::byte*>(check.data()),
+             reinterpret_cast<const std::byte*>(check.data()) + check.size());
+  both(0xE3069283u);
+}
+
+TEST(IntegrityCodec, Crc32cDispatchMatchesPortablePath) {
+  // crc32c() runs on the CPU's crc32 instruction where it exists; it must
+  // agree with the portable slicing-by-8 path for every length around the
+  // 8-byte stride, a full 64 KiB chunk, every start misalignment, and with
+  // a chained seed.
+  const auto data = pattern(64 * 1024 + 8, 17);
+  const auto span = std::span<const std::byte>(data);
+  std::vector<std::size_t> lens;
+  for (std::size_t n = 0; n <= 257; ++n) lens.push_back(n);
+  lens.push_back(64 * 1024);
+  for (std::size_t skew = 0; skew < 8; ++skew) {
+    for (std::size_t n : lens) {
+      const auto piece = span.subspan(skew, n);
+      const std::uint32_t seed = static_cast<std::uint32_t>(n * 0x9E3779B9u);
+      ASSERT_EQ(fstore::crc32c(piece), fstore::detail::crc32c_portable(piece))
+          << "skew " << skew << " len " << n;
+      ASSERT_EQ(fstore::crc32c(piece, seed),
+                fstore::detail::crc32c_portable(piece, seed))
+          << "skew " << skew << " len " << n;
+      // Chaining the two halves equals one pass on either path.
+      const std::size_t cut = n / 3;
+      const std::uint32_t head = fstore::crc32c(piece.subspan(0, cut));
+      ASSERT_EQ(fstore::detail::crc32c_portable(piece.subspan(cut), head),
+                fstore::crc32c(piece))
+          << "skew " << skew << " len " << n;
+    }
+  }
 }
 
 TEST(IntegrityCodec, BlockShapesDetectRotAndRepair) {

@@ -237,6 +237,67 @@ TEST(Quorum, ClientFollowsLeaderHint) {
   s.reset();
 }
 
+TEST(Quorum, FollowerTermScanCostStaysFlatAsJournalGrows) {
+  // A follower keeps its term-run table current by scanning only the bytes
+  // each append imports, not the whole journal under raft_mu_. Grow the
+  // journal to j0, then append a little more in a few synced writes: the
+  // follower must scan less than one whole journal for them, however long
+  // the journal already is. A rescan per append would cost at least j0 per
+  // append. Only a full rebuild on election may add a whole journal's
+  // worth; retransmitted ranges are rescanned but stay far below j0.
+  sim::Fabric fabric;
+  FilerGroup g(fabric, 3, test_base());
+  const int l = g.wait_leader();
+  ASSERT_GE(l, 0);
+  const auto node = fabric.add_node("client");
+  Actor actor("client", &fabric.node(node));
+  ActorScope scope(actor);
+  via::Nic nic(fabric, node, "nic");
+  auto s = std::move(
+      dafs::Session::connect(nic, quorum_cfg(g, 1, 0, l)).value());
+  auto fh = s->open("/scan.dat", dafs::kOpenCreate).value();
+  std::uint64_t off = 0;
+  const auto write_synced = [&](int chunks) {
+    for (int i = 0; i < chunks; ++i, off += kChunk) {
+      ASSERT_TRUE(s->pwrite(fh, off, pattern(kChunk, off)).ok());
+      ASSERT_EQ(s->sync(fh), PStatus::kOk);
+    }
+  };
+  const auto converge = [&] {
+    const int ll = g.leader();
+    ASSERT_GE(ll, 0);
+    for (std::size_t i = 0; i < g.members.size(); ++i) {
+      if (static_cast<int>(i) == ll) continue;
+      ASSERT_TRUE(wait_journal_match(*g.members[ll], *g.members[i]))
+          << "follower " << i << " never converged";
+    }
+  };
+
+  write_synced(48);
+  converge();
+  std::vector<std::uint64_t> scanned0;
+  for (auto& m : g.members) {
+    scanned0.push_back(m->store().journal_log().scanned_bytes());
+  }
+  const std::uint64_t j0 = g.members[l]->store().journal_size();
+  ASSERT_GT(j0, 48 * kChunk);
+  const std::uint64_t won0 = fabric.stats().get("dafs.elections_won");
+
+  write_synced(4);
+  converge();
+  const std::uint64_t j1 = g.members[l]->store().journal_size();
+  const std::uint64_t elections =
+      fabric.stats().get("dafs.elections_won") - won0;
+  for (std::size_t i = 0; i < g.members.size(); ++i) {
+    if (static_cast<int>(i) == l) continue;
+    const std::uint64_t scanned =
+        g.members[i]->store().journal_log().scanned_bytes() - scanned0[i];
+    EXPECT_GE(scanned, j1 - j0) << "follower " << i;
+    EXPECT_LT(scanned, j0 + elections * j1) << "follower " << i;
+  }
+  s.reset();
+}
+
 TEST(Quorum, FollowerOnlyMountDemotesAndGivesUp) {
   // A mount naming only followers (no endpoint carries the hinted leader's
   // member id) must demote each refusing endpoint to the back of its
