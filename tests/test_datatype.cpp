@@ -4,6 +4,7 @@
 #include <span>
 #include <cstring>
 #include <numeric>
+#include <ostream>
 #include <vector>
 
 #include "mpi/datatype.hpp"
@@ -406,6 +407,30 @@ struct DarrayCase {
   std::vector<std::uint32_t> psizes;
   std::uint32_t esize;
 };
+
+// Names each case by its shape, e.g. "g6x8.p2x2.block-cyclic2.e2", so the
+// parameterised test names are the same in every build and run (gtest's
+// default would print the raw bytes of the vectors' heap pointers).
+void PrintTo(const DarrayCase& c, std::ostream* os) {
+  const auto dims = [os](const std::vector<std::uint32_t>& v) {
+    for (std::size_t i = 0; i < v.size(); ++i) *os << (i ? "x" : "") << v[i];
+  };
+  *os << "g";
+  dims(c.gsizes);
+  *os << ".p";
+  dims(c.psizes);
+  *os << ".";
+  for (std::size_t i = 0; i < c.dists.size(); ++i) {
+    if (i) *os << "-";
+    switch (c.dists[i]) {
+      case Dist::kNone: *os << "none"; break;
+      case Dist::kBlock: *os << "block"; break;
+      case Dist::kCyclic: *os << "cyclic"; break;
+    }
+    if (c.dargs[i] != Datatype::kDfltDarg) *os << c.dargs[i];
+  }
+  *os << ".e" << c.esize;
+}
 
 class DarrayVsReference : public ::testing::TestWithParam<DarrayCase> {};
 
