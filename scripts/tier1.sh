@@ -2,9 +2,9 @@
 # Tier-1 gate: the standard build + full test suite, then an
 # AddressSanitizer/UBSan build running the fault-injection slice (ctest -L
 # fault), the server crash/restart chaos slice (ctest -L chaos), the
-# dual-filer failover slice (ctest -L failover), the causal-tracing
-# slice (ctest -L trace), the striped-layout slice (ctest -L stripe), the
-# quorum-replication slice (ctest -L raft), the data-integrity slice
+# causal-tracing slice (ctest -L trace), the striped-layout slice (ctest -L
+# stripe), the quorum-replication and session-failover slice (ctest -L
+# raft), the data-integrity slice
 # (ctest -L integrity), the live-telemetry slice (ctest -L telemetry), the
 # client-cache/delegation slice (ctest -L cache) and the file-store slice
 # with its journal replay and torn-tail tests (ctest -L fstore),
@@ -12,15 +12,17 @@
 # leg runs traced end-to-end
 # benchmarks and validates the emitted Perfetto JSON (ids resolve, spans
 # nest, no negative durations) with scripts/check_trace.py — including the
-# --mpiio-rooted linkage check against the traced failover bench and the
-# traced striped collective, and the --require-span check that the traced
-# quorum bench actually recorded a leader election and a re-silver burst.
+# --mpiio-rooted linkage check against the traced striped collective and the
+# traced kill-the-leader quorum bench, whose run must also have recorded a
+# leader election and a re-silver burst (--require-span).
 # A metrics-validation leg then replays the breakdown and telemetry benches
 # with stdout captured and checks their unified metrics JSON (schema,
 # dotted-lowercase keys, percentile ordering, monotone time series) with
 # scripts/check_metrics.py. A last leg checks the repo benchmark: the
-# perfbench driver's self-test and one short traced mdtest_small run, which
-# must exit 0.
+# perfbench driver's self-test, one short traced mdtest_small run, which
+# must exit 0, and scripts/bench_compare.py over the committed BENCH_17.json
+# against BENCHMARK.json's end-to-end bounds, which must report no
+# regression.
 #
 # Every ctest invocation runs under a per-test timeout so a hung recovery
 # path (the exact bug class the chaos suite hunts) fails the gate instead of
@@ -43,39 +45,36 @@ cmake --build "$BUILD" -j "$JOBS"
 ctest --test-dir "$BUILD" --output-on-failure -j "$JOBS" \
   --timeout "$TEST_TIMEOUT"
 
-echo "== tier1: sanitizer leg (ASan+UBSan, fault + chaos + failover + trace + stripe + raft + integrity + telemetry + cache + fstore labels) =="
+echo "== tier1: sanitizer leg (ASan+UBSan, fault + chaos + trace + stripe + raft + integrity + telemetry + cache + fstore labels) =="
 cmake -B "$ASAN_BUILD" -S . -DDAFS_SANITIZE=ON >/dev/null
 cmake --build "$ASAN_BUILD" -j "$JOBS" --target test_fault \
-  --target test_chaos --target test_failover --target test_trace \
+  --target test_chaos --target test_trace \
   --target test_stripe --target test_quorum --target test_integrity \
   --target test_telemetry --target test_cache --target test_fstore
 ctest --test-dir "$ASAN_BUILD" --output-on-failure -j "$JOBS" \
   --timeout "$TEST_TIMEOUT" \
-  -L 'fault|chaos|failover|trace|stripe|raft|integrity|telemetry|cache|fstore'
+  -L 'fault|chaos|trace|stripe|raft|integrity|telemetry|cache|fstore'
 
 echo "== tier1: trace-validation leg (traced benches -> check_trace.py) =="
 TRACE_OUT="$BUILD/tier1_trace.json"
 DAFS_TRACE="$TRACE_OUT" "$BUILD/bench/bench_e8_breakdown" >/dev/null
 python3 scripts/check_trace.py "$TRACE_OUT"
-# Failover bench: besides the structural checks, require every dafs.client
-# span — including the retries that crossed the crash and the endpoint
-# rotation — to chain up to the mpiio span that issued it.
-FAILOVER_TRACE="$BUILD/tier1_trace_failover.json"
-DAFS_TRACE="$FAILOVER_TRACE" "$BUILD/bench/bench_e16_failover" >/dev/null
-python3 scripts/check_trace.py --mpiio-rooted "$FAILOVER_TRACE"
 # Striped bench: the E17 sweep runs last in bench_e9_scaling, so the dump is
 # a traced striped collective — every per-server sub-transfer must chain up
 # to the write_at_all that split it across the layout.
 STRIPE_TRACE="$BUILD/tier1_trace_stripe.json"
 DAFS_TRACE="$STRIPE_TRACE" "$BUILD/bench/bench_e9_scaling" >/dev/null
 python3 scripts/check_trace.py --mpiio-rooted "$STRIPE_TRACE"
-# Quorum bench: the kill-the-leader run must leave behind an election span
-# (a successor won a term) and a re-silver span (the rebooted ex-leader
-# caught its journal up) — proving the traced recovery actually exercised
-# both halves of the consensus path, not just that the trace is well-formed.
+# Quorum bench: the kill-the-leader run runs last, so the dump is the
+# quorum group's. Require every dafs.client span — including the retries
+# that crossed the crash and chased the leader hint to the successor — to
+# chain up to the mpiio span that issued it, and require an election span (a
+# successor won a term) and a re-silver span (the rebooted ex-leader caught
+# its journal up) — proving the traced recovery actually exercised both
+# halves of the consensus path, not just that the trace is well-formed.
 QUORUM_TRACE="$BUILD/tier1_trace_quorum.json"
 DAFS_TRACE="$QUORUM_TRACE" "$BUILD/bench/bench_e18_quorum" >/dev/null
-python3 scripts/check_trace.py --require-span raft.election \
+python3 scripts/check_trace.py --mpiio-rooted --require-span raft.election \
   --require-span raft.resilver "$QUORUM_TRACE"
 # Integrity bench: the dafs_integrity sweep runs with the background
 # scrubber on, so the traced dump must record at least one completed
@@ -105,9 +104,10 @@ CACHE_OUT="$BUILD/tier1_metrics_e21.txt"
 "$BUILD/bench/bench_e21_cache" >"$CACHE_OUT"
 python3 scripts/check_metrics.py "$CACHE_OUT"
 
-echo "== tier1: benchmark leg (perfbench self-test + short traced run) =="
+echo "== tier1: benchmark leg (perfbench self-test + short traced run + committed-result verdict) =="
 python3 perfbench/run.py --self-test
 python3 perfbench/run.py --workload mdtest_small --seconds 4 --trace 1 \
   >"$BUILD/tier1_perfbench.txt"
+python3 scripts/bench_compare.py BENCH_17.json
 
 echo "== tier1: all green =="

@@ -74,10 +74,10 @@ struct StatsSnapshot {
 /// opens its own session), matching the DAFS provider model.
 class Session {
  public:
-  /// Mount `spec` and bind to its first reachable endpoint. Later endpoints
-  /// are failover targets: the recovery path rotates to them when the bound
-  /// filer stays unreachable or answers kFenced (deposed by a standby
-  /// promotion).
+  /// Mount `spec` and bind to its first reachable endpoint. On a quorum
+  /// mount the other members are failover targets: the recovery path
+  /// rotates to them when the bound filer stays unreachable, and jumps to
+  /// the hinted leader when it answers kNotLeader.
   static Result<std::unique_ptr<Session>> connect(via::Nic& nic,
                                                   const MountSpec& spec = {});
   ~Session();
@@ -178,8 +178,8 @@ class Session {
   // ---- telemetry -------------------------------------------------------------
   /// Live stats snapshot from the bound filer. Served outside the server's
   /// admission control (succeeds while the data plane sheds kBusy) and by
-  /// fenced/follower members (which report their role/term instead of
-  /// refusing).
+  /// follower and candidate members (which report their role/term instead
+  /// of refusing).
   Result<StatsSnapshot> query_stats();
 
   std::uint64_t session_id() const { return session_id_; }
@@ -252,14 +252,14 @@ class Session {
   PStatus do_connect();
   /// One establishment pass against the bound endpoint (connect retry loop,
   /// buffer arming, kConnect RPC). do_connect rotates endpoints between
-  /// passes when the answer is kFenced.
+  /// passes when the answer is kNotLeader.
   PStatus connect_once();
   /// Rotate to the next endpoint in the mount order (wraps; reseeds the
   /// backoff jitter from the new endpoint's policy).
   void advance_endpoint();
   /// Demote the bound endpoint to the back of the rotation and bind the
   /// next one. Used when the endpoint *answered* but refused service
-  /// (kFenced / kNotLeader): it is alive yet useless for now, so it should
+  /// (kNotLeader): it is alive yet useless for now, so it should
   /// be the last thing reprobed — unlike a transport failure, where the
   /// plain in-place rotation of advance_endpoint is right.
   void demote_endpoint();
@@ -293,7 +293,6 @@ class Session {
     kFailed,     // transport error / garbled answer: retry the attempt
     kResumed,    // server still had the session (connection-level failure)
     kLostState,  // kBadSession: server restarted, reclaim from leases
-    kFenced,     // server was deposed: rotate to the next endpoint
     kNotLeader,  // quorum follower: follow its leader hint (or demote)
   };
   ResumeOutcome resume_session();

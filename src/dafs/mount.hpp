@@ -11,14 +11,14 @@
 /// \file mount.hpp
 /// The client-facing mount description: which filer endpoints a session may
 /// bind to (in failover order) and the one retry/deadline/backoff policy
-/// type shared by client recovery, server-to-server replication, and the
+/// type shared by client recovery, quorum replication, and the
 /// MPI-IO hint layer (parsed in src/mpiio/info.hpp).
 namespace dafs {
 
 /// One consolidated retry policy. Previously these knobs were duplicated
 /// across ClientConfig (recovery_*), ServerConfig and ad-hoc `dafs_*` MPI-IO
-/// hints; every layer that retries — client reconnect/failover, the
-/// replication channel, kBusy backoff — now takes a RetryPolicy.
+/// hints; every layer that retries — client reconnect/failover, the quorum
+/// replication channels, kBusy backoff — now takes a RetryPolicy.
 struct RetryPolicy {
   /// Reconnect/resume attempts against one endpoint before giving up on it
   /// (the session dies once every endpoint's budget is exhausted).
@@ -32,8 +32,8 @@ struct RetryPolicy {
   /// Retransmissions of a kBusy-shed request before surfacing kBusy.
   int max_busy_retries = 64;
   /// Per-request deadline budget (virtual ns) stamped on every request;
-  /// 0 = no deadline. For the replication channel this bounds the
-  /// semi-synchronous barrier wait instead.
+  /// 0 = no deadline. For the replication channel this bounds the quorum
+  /// commit barrier's wait instead.
   std::uint64_t deadline_ns = 0;
 };
 
@@ -156,8 +156,8 @@ struct Layout {
 };
 
 /// What `Session::connect` mounts: an ordered endpoint list (first is the
-/// preferred primary; later entries are failover targets tried in order when
-/// the bound endpoint dies or answers kFenced) plus the session-local knobs.
+/// preferred one; later entries are failover targets tried in order when the
+/// bound endpoint dies or answers kNotLeader) plus the session-local knobs.
 /// An empty endpoint list means one default endpoint at `client.service`.
 ///
 /// `Client::connect` (the striped multi-filer client) additionally reads
@@ -177,16 +177,6 @@ inline MountSpec single_mount(std::string service, RetryPolicy retry = {},
                               ClientConfig client = {}) {
   MountSpec m;
   m.endpoints.push_back(Endpoint{std::move(service), retry});
-  m.client = std::move(client);
-  return m;
-}
-
-/// An ordered failover mount over `services`, one shared policy.
-inline MountSpec failover_mount(std::vector<std::string> services,
-                                RetryPolicy retry = {},
-                                ClientConfig client = {}) {
-  MountSpec m;
-  for (auto& s : services) m.endpoints.push_back(Endpoint{std::move(s), retry});
   m.client = std::move(client);
   return m;
 }

@@ -102,9 +102,10 @@ class FaultPlan {
   /// Kill the server at the first request admitted at or after virtual time
   /// `t` (same restart semantics).
   void crash_server_at(Time t, std::uint64_t restart_delay_ms);
-  /// Restrict the armed server crash to the server on `node`. With a
-  /// replicated pair in one fabric both filers consult the same plan; this
-  /// pins the kill to the primary so the standby never trips it.
+  /// Restrict the armed server crash to the server on `node`. With several
+  /// filers in one fabric (a quorum group, a striped layout) every filer
+  /// consults the same plan; this pins the kill to one of them, e.g. the
+  /// quorum leader, so its successor never trips the same arming.
   /// kInvalidNode = any server. Survives until the next arm().
   void restrict_crash_to_node(NodeId node);
 
